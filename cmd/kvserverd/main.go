@@ -17,7 +17,7 @@
 // Usage:
 //
 //	kvserverd [-addr :7070] [-shards 4] [-procs 8] [-data dir] [-dur 0]
-//	          [-group-commit] [-epoch-interval 0] [-locked-keytable]
+//	          [-group-commit] [-epoch-interval 0]
 //	          [-replica-of addr] [-promote] [-v]
 //
 // With -replica-of the daemon starts as a warm standby (requires -data):
@@ -28,10 +28,6 @@
 // it connects to -addr as an observer, issues PROMOTE, prints the fencing
 // generation and exits — promoting a standby into the serving primary, or
 // fencing a node that is already primary.
-//
-// -locked-keytable swaps each shard's lock-free copy-on-write key table
-// for the RWMutex-guarded baseline; it exists only so benchmark sweeps
-// (BENCH_PR8.json) can measure both sides through the same served path.
 //
 // With -group-commit (the default when durable), concurrent commits
 // coalesce into epochs sharing one fsync pair: every mutating reply is
@@ -68,7 +64,6 @@ func main() {
 	dur := flag.Duration("dur", 0, "serve duration (0 = until SIGINT/SIGTERM)")
 	groupCommit := flag.Bool("group-commit", true, "coalesce concurrent commits into epochs sharing one fsync pair")
 	epochInterval := flag.Duration("epoch-interval", 0, "group-commit batching window (0 = anchor epochs immediately)")
-	lockedTable := flag.Bool("locked-keytable", false, "use the RWMutex-guarded key table instead of the lock-free copy-on-write one (benchmark baseline)")
 	replicaOf := flag.String("replica-of", "", "start as a warm standby replicating from the primary at this address (requires -data)")
 	promote := flag.Bool("promote", false, "admin verb: ask the server at -addr to promote (standby → primary, primary → fenced) and exit")
 	verbose := flag.Bool("v", false, "print the per-shard breakdown on shutdown")
@@ -80,7 +75,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*addr, *shards, *procs, *data, *dur, *groupCommit, *epochInterval, *lockedTable, *replicaOf, *verbose); err != nil {
+	if err := run(*addr, *shards, *procs, *data, *dur, *groupCommit, *epochInterval, *replicaOf, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "kvserverd:", err)
 		os.Exit(1)
 	}
@@ -102,7 +97,7 @@ func runPromote(addr string) error {
 	return nil
 }
 
-func run(addr string, shards, procs int, data string, dur time.Duration, groupCommit bool, epochInterval time.Duration, lockedTable bool, replicaOf string, verbose bool) error {
+func run(addr string, shards, procs int, data string, dur time.Duration, groupCommit bool, epochInterval time.Duration, replicaOf string, verbose bool) error {
 	if shards < 1 || procs < 1 {
 		return fmt.Errorf("need shards ≥ 1 and procs ≥ 1 (got shards=%d procs=%d)", shards, procs)
 	}
@@ -114,10 +109,7 @@ func run(addr string, shards, procs int, data string, dur time.Duration, groupCo
 		db  *durable.DB
 		err error
 	)
-	opts := []shardkv.Option{}
-	if lockedTable {
-		opts = append(opts, shardkv.LockedKeyTable())
-	}
+	var opts []shardkv.Option
 	if data != "" {
 		if db, err = durable.Open(data, shards, procs, server.Window); err != nil {
 			return err

@@ -8,17 +8,16 @@
 // PutRetry re-invokes on fail for always-succeeds semantics (the NRL
 // transformation of Section 6).
 //
-// Key resolution is lock-free: the key → register table is an atomic
-// pointer to an immutable copy-on-write map, so the crash-free hot path of
-// an existing key (the only path a skewed workload exercises in steady
-// state) is one atomic load plus one map lookup — no locks, no allocation.
-// Only the first write of a new key and Restore serialize, on a creation
-// mutex that publishes a successor table.
+// Key resolution is lock-free: the key → register table is a concurrent
+// hash-trie (sync.Map), so the crash-free hot path of an existing key (the
+// only path a skewed workload exercises in steady state) takes no lock and
+// allocates nothing. Creating a key — its first write, or Restore during
+// recovery — is an amortized O(1) insert, so building a store of N keys
+// costs O(N). First writes serialize on a creation mutex held only for
+// that one insert, which keeps register allocation exactly-once per key.
 package kv
 
 import (
-	"sort"
-
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 	"detectable/internal/rw"
@@ -28,21 +27,12 @@ import (
 // Missing keys read as the zero value.
 type Store struct {
 	sys *runtime.System
-	tbl keyTable
+	tbl table
 }
 
-// New allocates an empty store in sys's memory space with the lock-free
-// copy-on-write key table.
+// New allocates an empty store in sys's memory space.
 func New(sys *runtime.System) *Store {
-	return &Store{sys: sys, tbl: newCowTable()}
-}
-
-// NewLocked allocates a store using the pre-PR 8 RWMutex key table. It
-// exists solely as the measured baseline of the BENCH_PR8.json skew sweep
-// (every operation pays a read-lock on the shared table); production
-// callers want New.
-func NewLocked(sys *runtime.System) *Store {
-	return &Store{sys: sys, tbl: newLockedTable()}
+	return &Store{sys: sys}
 }
 
 // Put writes key := val as process pid and returns the detectable outcome.
@@ -102,17 +92,10 @@ func (s *Store) Restore(key string, val int) {
 	s.tbl.restore(key, rw.NewInt(s.sys, val))
 }
 
-// Keys returns the keys ever written, sorted, for tests and tooling. The
-// sort runs over a point-in-time table view, outside any critical section —
-// with the copy-on-write table no lock is held at all.
+// Keys returns the keys ever written, sorted, for tests and tooling. It
+// holds no lock: keys created concurrently may or may not be included.
 func (s *Store) Keys() []string {
-	view := s.tbl.view()
-	out := make([]string, 0, len(view))
-	for k := range view {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return s.tbl.keys()
 }
 
 // Peek returns key's current value without a Ctx, for tests.
@@ -128,8 +111,7 @@ func (s *Store) Peek(key string) int {
 // creation is treated as metadata management, not a recoverable operation:
 // it allocates NVM cells but performs no primitives. The caller's key may
 // alias a transient buffer (the server decodes keys zero-copy out of the
-// connection frame), so the create path clones it — the only place this
-// layer retains a key.
+// connection frame), so the table clones every key it stores.
 func (s *Store) reg(key string) *rw.Register[int] {
 	if reg, ok := s.tbl.lookup(key); ok {
 		return reg

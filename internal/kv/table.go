@@ -1,154 +1,71 @@
 package kv
 
 import (
+	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"detectable/internal/rw"
 )
 
-// keyTable resolves key → register on every operation. Two implementations:
+// table resolves key → register on every operation. It is a sync.Map,
+// which since Go 1.24 is a concurrent hash-trie:
 //
-//   - cowTable (the default): an atomic pointer to an immutable map. The
-//     read path — every crash-free Get/Put on an existing key — is one
-//     atomic load plus one map lookup, no locks and no allocation. Writers
-//     that introduce a *new* key (or Restore during recovery) serialize on
-//     a creation mutex, clone the current table, and publish the successor;
-//     readers never observe a partially built table.
-//   - lockedTable: the pre-PR 8 RWMutex-guarded map, kept only so the
-//     benchmark sweep (BENCH_PR8.json) can measure the seed baseline the
-//     copy-on-write table replaced. Production callers never pick it.
+//   - The read path — every crash-free Get/Put on an existing key — is a
+//     lock-free Load that does not allocate.
+//   - Inserting a key is amortized O(1): it adds one leaf to the trie and
+//     copies nothing else, so creating N keys (first writes, or Restore
+//     during recovery) costs O(N).
 //
-// Both give the same semantics: lookups of concurrent first-writes may miss
-// and fall into create, which double-checks under the mutex, so exactly one
-// register is ever allocated per key.
-type keyTable interface {
-	// lookup returns key's register without creating it.
-	lookup(key string) (*rw.Register[int], bool)
-	// create returns key's register, allocating it via alloc under the
-	// creation mutex if this is the key's first use. The stored key is
-	// cloned (callers may pass a transient buffer; see Store.reg).
-	create(key string, alloc func() *rw.Register[int]) *rw.Register[int]
-	// restore installs a recovered register and panics if key exists
-	// (recovery must run before the store serves operations).
-	restore(key string, reg *rw.Register[int])
-	// view returns a point-in-time key → register mapping the caller may
-	// read freely but must not mutate.
-	view() map[string]*rw.Register[int]
+// A lookup racing a concurrent first write of the same key may miss and
+// fall into create, which double-checks under the creation mutex, so
+// exactly one register — one set of NVM cells — is ever allocated per key.
+type table struct {
+	m  sync.Map   // string → *rw.Register[int]
+	mu sync.Mutex // serializes register creation (one O(1) insert each)
 }
 
-// cowTable is the lock-free copy-on-write key table. The published map is
-// immutable: mutators clone it under mu and atomically swap the pointer.
-// Creating the N-th key therefore costs an O(N) clone — a one-time,
-// amortized cost paid off the steady-state path (keys are created once,
-// operated on forever), which is exactly the trade a skewed workload wants:
-// the hot path of a hot key shares nothing with key creation.
-type cowTable struct {
-	table atomic.Pointer[map[string]*rw.Register[int]]
-	mu    sync.Mutex // serializes clone-and-publish (first writes, restores)
+// lookup returns key's register without creating it.
+func (t *table) lookup(key string) (*rw.Register[int], bool) {
+	v, ok := t.m.Load(key)
+	if !ok {
+		return nil, false
+	}
+	return v.(*rw.Register[int]), true
 }
 
-func newCowTable() *cowTable {
-	t := &cowTable{}
-	m := make(map[string]*rw.Register[int])
-	t.table.Store(&m)
-	return t
-}
-
-func (t *cowTable) lookup(key string) (*rw.Register[int], bool) {
-	reg, ok := (*t.table.Load())[key]
-	return reg, ok
-}
-
-func (t *cowTable) create(key string, alloc func() *rw.Register[int]) *rw.Register[int] {
+// create returns key's register, allocating it via alloc under the
+// creation mutex if this is the key's first use. The stored key is cloned:
+// callers may pass a transient buffer (see Store.reg).
+func (t *table) create(key string, alloc func() *rw.Register[int]) *rw.Register[int] {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := *t.table.Load()
-	if reg, ok := cur[key]; ok {
-		// Lost the creation race: another first-writer published this key
+	if reg, ok := t.lookup(key); ok {
+		// Lost the creation race: another first writer inserted this key
 		// between our lookup miss and taking the mutex.
 		return reg
 	}
 	reg := alloc()
-	t.publish(cur, strings.Clone(key), reg)
+	t.m.Store(strings.Clone(key), reg)
 	return reg
 }
 
-func (t *cowTable) restore(key string, reg *rw.Register[int]) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := *t.table.Load()
-	if _, ok := cur[key]; ok {
+// restore installs a recovered register and panics if key exists
+// (recovery must run before the store serves operations).
+func (t *table) restore(key string, reg *rw.Register[int]) {
+	if _, loaded := t.m.LoadOrStore(strings.Clone(key), reg); loaded {
 		panic("kv: Restore of a key that already has a register")
 	}
-	t.publish(cur, strings.Clone(key), reg)
 }
 
-// publish swaps in a successor table holding cur plus key → reg. Callers
-// hold mu.
-func (t *cowTable) publish(cur map[string]*rw.Register[int], key string, reg *rw.Register[int]) {
-	next := make(map[string]*rw.Register[int], len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = reg
-	t.table.Store(&next)
-}
-
-func (t *cowTable) view() map[string]*rw.Register[int] {
-	// The published map is immutable, so the current pointer IS a
-	// point-in-time snapshot — no copy, no lock.
-	return *t.table.Load()
-}
-
-// lockedTable is the seed RWMutex key table, retained as the benchmark
-// baseline (Store option Locked / shardkv.LockedKeyTable / kvserverd
-// -locked-keytable). Every operation — including crash-free reads of hot
-// keys — takes the read lock, which is the serialization the skew sweep in
-// BENCH_PR8.json measures against the copy-on-write table.
-type lockedTable struct {
-	mu   sync.RWMutex
-	regs map[string]*rw.Register[int]
-}
-
-func newLockedTable() *lockedTable {
-	return &lockedTable{regs: make(map[string]*rw.Register[int])}
-}
-
-func (t *lockedTable) lookup(key string) (*rw.Register[int], bool) {
-	t.mu.RLock()
-	reg, ok := t.regs[key]
-	t.mu.RUnlock()
-	return reg, ok
-}
-
-func (t *lockedTable) create(key string, alloc func() *rw.Register[int]) *rw.Register[int] {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if reg, ok := t.regs[key]; ok {
-		return reg
-	}
-	reg := alloc()
-	t.regs[strings.Clone(key)] = reg
-	return reg
-}
-
-func (t *lockedTable) restore(key string, reg *rw.Register[int]) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.regs[key]; ok {
-		panic("kv: Restore of a key that already has a register")
-	}
-	t.regs[strings.Clone(key)] = reg
-}
-
-func (t *lockedTable) view() map[string]*rw.Register[int] {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[string]*rw.Register[int], len(t.regs))
-	for k, v := range t.regs {
-		out[k] = v
-	}
+// keys returns every key in the table, sorted. Keys inserted while it runs
+// may or may not appear; every key present before the call does.
+func (t *table) keys() []string {
+	var out []string
+	t.m.Range(func(k, _ any) bool {
+		out = append(out, k.(string))
+		return true
+	})
+	sort.Strings(out)
 	return out
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"detectable/internal/shardkv"
@@ -91,36 +93,43 @@ func TestAllocPinRecordRecyclesWindowEntries(t *testing.T) {
 // fan-out, reply encode, window record — allocates nothing once warm. The
 // warm-up loop wraps every shard's history ring (each ring slot's args
 // buffer allocates on first touch) and settles the window's recycled
-// entry buffers.
+// entry buffers. The store fans out to 4 workers, and the pin runs at
+// GOMAXPROCS 1 and 4, so the parallel path is measured whatever the
+// machine's CPU count.
 func TestAllocPinServedMultiPut(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the parallel fan-out path")
 	}
-	store := shardkv.New(8, 2)
-	srv := New(store)
-	ls, err := srv.NewLoopbackSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			store := shardkv.New(8, 2, shardkv.Parallel(4))
+			srv := New(store)
+			ls, err := srv.NewLoopbackSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Close()
 
-	entries := make([]shardkv.KV, 64)
-	for i := range entries {
-		entries[i] = shardkv.KV{Key: "pin-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Val: i}
-	}
-	payload := AppendMPut(nil, 0, entries)
+			entries := make([]shardkv.KV, 64)
+			for i := range entries {
+				entries[i] = shardkv.KV{Key: "pin-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Val: i}
+			}
+			payload := AppendMPut(nil, 0, entries)
 
-	warm := 2*shardkv.DefaultRingCapacity/len(entries)*8 + 2*Window
-	for i := 0; i < warm; i++ {
-		PatchReqID(payload, ls.NextID())
-		if reply := ls.Handle(payload); len(reply) == 0 || reply[0] != StatusOK {
-			t.Fatalf("warm-up MPUT reply %v", reply)
-		}
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		PatchReqID(payload, ls.NextID())
-		ls.Handle(payload)
-	}); allocs != 0 {
-		t.Fatalf("warm served MPUT allocates %v/op, want 0", allocs)
+			warm := 2*shardkv.DefaultRingCapacity/len(entries)*8 + 2*Window
+			for i := 0; i < warm; i++ {
+				PatchReqID(payload, ls.NextID())
+				if reply := ls.Handle(payload); len(reply) == 0 || reply[0] != StatusOK {
+					t.Fatalf("warm-up MPUT reply %v", reply)
+				}
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				PatchReqID(payload, ls.NextID())
+				ls.Handle(payload)
+			}); allocs != 0 {
+				t.Fatalf("warm served MPUT allocates %v/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -350,6 +350,11 @@ func (srv *Server) handleConn(conn net.Conn) {
 			return
 		}
 		reply, closing, fatal := srv.handle(sess, payload, scratch)
+		if closing {
+			// Release the slot before the ack, so a client that saw its
+			// CLOSE acknowledged can lease the slot again at once.
+			srv.endSession(sess)
+		}
 		if err := WriteFrame(bw, reply); err != nil {
 			return
 		}
@@ -359,7 +364,6 @@ func (srv *Server) handleConn(conn net.Conn) {
 			}
 		}
 		if closing {
-			srv.endSession(sess)
 			return
 		}
 		if fatal {

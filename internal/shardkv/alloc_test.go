@@ -1,6 +1,10 @@
 package shardkv
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
 
 // The allocation pins of the hot-path overhaul: crash-free operations on
 // the atomic fast path must not allocate. These are the same promises
@@ -47,23 +51,30 @@ func TestAllocPinCrashFreePut(t *testing.T) {
 
 // A warm batched put over caller-owned scratch allocates nothing: grouping
 // arrays, outcome slice, fan-out workers and history records all reuse
-// session- or slot-owned storage.
+// session- or slot-owned storage. The store fans out to 4 workers, and the
+// pin runs at GOMAXPROCS 1 and 4, so the parallel path is measured
+// whatever the machine's CPU count.
 func TestAllocPinMultiPutWith(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the parallel fan-out path")
 	}
-	s := New(8, 2)
-	entries := make([]KV, 64)
-	for i := range entries {
-		entries[i] = KV{Key: "pin-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Val: i}
-	}
-	var sc BatchScratch
-	for i := 0; i < 2*DefaultRingCapacity/len(entries)*8; i++ {
-		s.MultiPutWith(&sc, 0, entries)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		s.MultiPutWith(&sc, 0, entries)
-	}); allocs != 0 {
-		t.Fatalf("warm MultiPutWith allocates %v/op, want 0", allocs)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s := New(8, 2, Parallel(4))
+			entries := make([]KV, 64)
+			for i := range entries {
+				entries[i] = KV{Key: "pin-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Val: i}
+			}
+			var sc BatchScratch
+			for i := 0; i < 2*DefaultRingCapacity/len(entries)*8; i++ {
+				s.MultiPutWith(&sc, 0, entries)
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				s.MultiPutWith(&sc, 0, entries)
+			}); allocs != 0 {
+				t.Fatalf("warm MultiPutWith allocates %v/op, want 0", allocs)
+			}
+		})
 	}
 }

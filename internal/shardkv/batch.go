@@ -36,9 +36,11 @@ type BatchScratch struct {
 	groups []group
 	outs   []runtime.Outcome[int]
 
-	// Fan-out state. Workers are launched as bound method goroutines over
-	// this struct — no per-batch closure — so the parallel path stays
-	// allocation-free too.
+	// Fan-out state. `go sc.work()` would allocate a bound-method closure
+	// per worker of every batch; instead workFn holds the method value,
+	// created once per scratch, and each worker is launched from it, so
+	// the parallel path stays allocation-free too.
+	workFn  func()
 	store   *Store
 	kind    batchKind
 	pid     int
@@ -144,10 +146,13 @@ func (s *Store) runBatch(sc *BatchScratch, n int, plans []ShardPlans) []runtime.
 			sc.run(g)
 		}
 	} else {
+		if sc.workFn == nil {
+			sc.workFn = sc.work
+		}
 		sc.cursor.Store(0)
 		sc.wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			go sc.work()
+			go sc.workFn()
 		}
 		sc.wg.Wait()
 	}

@@ -1,9 +1,12 @@
 package shardkv
 
 import (
+	"fmt"
+	goruntime "runtime"
 	"testing"
 
 	"detectable/internal/durable"
+	"detectable/internal/history"
 	"detectable/internal/nvm"
 )
 
@@ -133,4 +136,52 @@ func TestLeaseProc(t *testing.T) {
 	if _, ok := s.AcquireProc(); !ok {
 		t.Fatal("released pid not acquirable")
 	}
+}
+
+// TestRestoreIsLinear: restoring a durable store through New must cost
+// the same heap bytes per recovered key at 16k keys as at 1k. A key table
+// that copies itself on every Restore allocates O(keys) per key, making
+// recovery quadratic; that fails this check by an order of magnitude.
+func TestRestoreIsLinear(t *testing.T) {
+	base := restoreBytes(t, 0)
+	small := (restoreBytes(t, 1<<10) - base) / (1 << 10)
+	large := (restoreBytes(t, 1<<14) - base) / (1 << 14)
+	t.Logf("restore bytes/key: %.0f at 1k keys, %.0f at 16k keys", small, large)
+	if ratio := large / small; ratio > 1.5 {
+		t.Fatalf("Restore costs %.0f B/key at 16k keys vs %.0f at 1k (ratio %.2f > 1.5): recovery is not linear",
+			large, small, ratio)
+	}
+}
+
+// restoreBytes writes n keys to a fresh durable directory, reopens it and
+// returns the heap bytes New allocates to restore them.
+func restoreBytes(t *testing.T, n int) float64 {
+	t.Helper()
+	const shards, procs = 4, 2
+	dir := t.TempDir()
+	db := openDB(t, dir, shards, procs)
+	s := New(shards, procs, Durable(db), HistoryMode(history.ModeOff, 0))
+	entries := make([]KV, 0, 256)
+	for i := 0; i < n; i += cap(entries) {
+		entries = entries[:0]
+		for j := i; j < n && j < i+cap(entries); j++ {
+			entries = append(entries, KV{Key: fmt.Sprintf("key-%d", j), Val: j + 1})
+		}
+		s.MultiPutRetry(0, entries)
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db = openDB(t, dir, shards, procs)
+	defer db.Close()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	s = New(shards, procs, Durable(db), HistoryMode(history.ModeOff, 0))
+	goruntime.ReadMemStats(&after)
+	if got := len(s.Keys()); got != n {
+		t.Fatalf("restored %d keys, want %d", got, n)
+	}
+	return float64(after.TotalAlloc - before.TotalAlloc)
 }

@@ -42,7 +42,6 @@ type options struct {
 	historyCap  int
 	parallel    int
 	db          *durable.DB
-	lockedTable bool
 }
 
 // HistoryMode overrides the per-shard history retention. Production stores
@@ -73,15 +72,6 @@ func Parallel(n int) Option {
 			o.parallel = n
 		}
 	}
-}
-
-// LockedKeyTable builds every shard's kv store on the pre-PR 8
-// RWMutex-guarded key table instead of the lock-free copy-on-write table.
-// It exists solely so the BENCH_PR8.json skew sweep (and kvserverd's
-// -locked-keytable flag) can measure the seed baseline; production callers
-// never set it.
-func LockedKeyTable() Option {
-	return func(o *options) { o.lockedTable = true }
 }
 
 // Durable backs every shard's space with one shard log of db (making the
@@ -203,11 +193,7 @@ func NewModel(shards, procs int, m nvm.Model, opts ...Option) *Store {
 		case history.ModeOff:
 			sys.SetHistory(history.NewOff())
 		}
-		mkStore := kv.New
-		if o.lockedTable {
-			mkStore = kv.NewLocked
-		}
-		sh := &shard{sys: sys, store: mkStore(sys)}
+		sh := &shard{sys: sys, store: kv.New(sys)}
 		if o.db != nil {
 			// Recovery first, backing second: replayed roots are register
 			// initial values, not fresh persists to re-journal.
