@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // collect reopens the log at path and returns every valid record.
@@ -180,10 +182,12 @@ func TestRecoveryIdempotence(t *testing.T) {
 	}
 	db.AppendHello(3, 1)
 	db.CommitOutcome(3, 9, []byte("reply-nine"))
+	db.ShardBacking(0).Persist("k", 50) // an uncommitted tail record
 	db.Close()
 
-	// Tear the log tail so recovery also exercises the truncation path.
-	path := filepath.Join(dir, "shard-000.log")
+	// Tear the log tail (the put above) so recovery also exercises the
+	// truncation path.
+	path := filepath.Join(dir, walName)
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)-3], 0o644)
 
@@ -206,8 +210,8 @@ func TestRecoveryIdempotence(t *testing.T) {
 	}
 }
 
-// TestShardCompaction drives the log over a tiny threshold and checks the
-// snapshot+log pair still recovers the exact state.
+// TestShardCompaction drives the log over a tiny threshold with shard puts
+// and checks the snapshot+log pair still recovers the exact state.
 func TestShardCompaction(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := Open(dir, 1, 1, 4)
@@ -219,11 +223,11 @@ func TestShardCompaction(t *testing.T) {
 	db.Sync()
 	db.Close()
 
-	snap := filepath.Join(dir, "shard-000.snap")
+	snap := filepath.Join(dir, snapName)
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("no snapshot written despite threshold: %v", err)
 	}
-	if st, _ := os.Stat(filepath.Join(dir, "shard-000.log")); st.Size() >= 256+64 {
+	if st, _ := os.Stat(filepath.Join(dir, walName)); st.Size() >= 256+64 {
 		t.Fatalf("log did not reset at compaction: %d bytes", st.Size())
 	}
 	got := shardState(t, dir, 1, 1, 0)
@@ -239,20 +243,22 @@ func TestTruncatedSnapshot(t *testing.T) {
 	db, _ := Open(dir, 1, 1, 4)
 	db.ShardBacking(0).Persist("aa", 1)
 	db.ShardBacking(0).Persist("bb", 2)
-	db.CompactShard(0)
+	db.Compact()
 	db.ShardBacking(0).Persist("cc", 3) // post-snapshot, lives in the log
 	db.Sync()
 	db.Close()
 
-	snap := filepath.Join(dir, "shard-000.snap")
+	snap := filepath.Join(dir, snapName)
 	data, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.WriteFile(snap, data[:len(data)-4], 0o644)
+	// Cut mid-way through the second record.
+	cut := frameHeader + len(encodePut(nil, 0, "aa", 1)) + 4
+	os.WriteFile(snap, data[:cut], 0o644)
 
 	got := shardState(t, dir, 1, 1, 0)
-	// Snapshot records are sorted (aa, bb); cutting the tail loses bb but
+	// Snapshot puts are sorted (aa, bb); cutting inside bb loses it but
 	// keeps the aa prefix, and the log's cc still applies.
 	want := map[string]int64{"aa": 1, "cc": 3}
 	if !reflect.DeepEqual(got, want) {
@@ -297,7 +303,7 @@ func TestSessionsCompactionKeepsNextSID(t *testing.T) {
 	db, _ := Open(dir, 1, 2, 4)
 	db.AppendHello(7, 0)
 	db.AppendEnd(7)
-	if err := db.CompactSessions(); err != nil {
+	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -399,5 +405,96 @@ func TestCommitOutcomeOrdering(t *testing.T) {
 	ss := db2.Sessions()
 	if len(ss) != 1 || string(ss[0].Window[5]) != "ok" {
 		t.Fatalf("outcome window lost: %v", ss)
+	}
+}
+
+// TestAppendDuringSync pins that Append never waits out an fsync: with the
+// log's fsync blocked, a concurrent Append returns at once, the blocked
+// Sync does not count that record as durable, and the next Sync does.
+func TestAppendDuringSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	l, err := OpenLog(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	l.syncFn = func(f File) error {
+		entered <- struct{}{}
+		<-release
+		return f.Sync()
+	}
+	if err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync() }()
+	<-entered // the first Sync is now inside its fsync
+
+	appended := make(chan error, 1)
+	go func() { appended <- l.Append([]byte("second")) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		close(release)
+		t.Fatal("Append waited for an in-flight fsync")
+	}
+	close(release)
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, path); len(got) != 1 || string(got[0]) != "first" {
+		t.Fatalf("after the blocked Sync the file holds %q, want just %q", got, "first")
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, path); len(got) != 2 || string(got[1]) != "second" {
+		t.Fatalf("after the second Sync the file holds %q, want first and second", got)
+	}
+}
+
+// TestOpenRefusesV1Directory writes data directories in the previous
+// layout (one log per shard plus a sessions log, MANIFEST version 1) and
+// requires Open to refuse them, naming the version found and the version
+// this build reads, rather than start empty over the old data.
+func TestOpenRefusesV1Directory(t *testing.T) {
+	oldPut := func(key string, val int64) []byte {
+		rec := binary.BigEndian.AppendUint16([]byte{0x01}, uint16(len(key)))
+		rec = append(rec, key...)
+		return frame(binary.BigEndian.AppendUint64(rec, uint64(val)))
+	}
+	hello := frame(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{0x02}, 1), 0))
+	v1 := map[string][]byte{
+		"MANIFEST":      []byte(`{"version":1,"shards":2,"procs":2}` + "\n"),
+		"shard-000.log": oldPut("k", 7),
+		"shard-001.log": oldPut("j", 8),
+		"sessions.log":  hello,
+	}
+	for name, files := range map[string]map[string][]byte{
+		"v1 manifest":         v1,
+		"leftover shard logs": {"shard-000.log": v1["shard-000.log"], "sessions.log": hello},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for f, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db, err := Open(dir, 2, 2, 4)
+			if err == nil {
+				db.Close()
+				t.Fatal("Open accepted a version-1 data directory")
+			}
+			for _, want := range []string{"version 1", "version 2"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }

@@ -17,16 +17,15 @@ func frame(payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// validSessionsLog returns the bytes of a well-formed sessions log:
-// hello, outcome, next-sid, end.
-func validSessionsLog() []byte {
+// validLog returns the bytes of a well-formed log: a put for shard 1,
+// then hello, outcome, next-sid, end.
+func validLog() []byte {
 	var out []byte
-	rec := append([]byte{recHello}, binary.BigEndian.AppendUint64(nil, 1)...)
-	rec = binary.BigEndian.AppendUint64(rec, 0)
-	out = append(out, frame(rec)...)
+	out = append(out, frame(encodePut(nil, 1, "k", 1))...)
+	out = append(out, frame(appendU64Rec(nil, recHello, 1, 0))...)
 	out = append(out, frame(appendOutcomeRec(nil, 1, 1, []byte("k=1")))...)
-	out = append(out, frame(append([]byte{recNextSID}, binary.BigEndian.AppendUint64(nil, 9)...))...)
-	out = append(out, frame(append([]byte{recEnd}, binary.BigEndian.AppendUint64(nil, 1)...))...)
+	out = append(out, frame(appendU64Rec(nil, recNextSID, 9))...)
+	out = append(out, frame(appendU64Rec(nil, recEnd, 1))...)
 	return out
 }
 
@@ -35,7 +34,7 @@ func validSessionsLog() []byte {
 // tail), and reopening what it left behind must yield byte-identical
 // records — recovery of a recovered log is a fixpoint.
 func FuzzOpenLog(f *testing.F) {
-	valid := validSessionsLog()
+	valid := validLog()
 	f.Add([]byte{})
 	f.Add(valid)
 	// Flipped CRC byte in the second frame.
@@ -86,37 +85,35 @@ func FuzzOpenLog(f *testing.F) {
 	})
 }
 
-// FuzzOpenDB plants fuzz bytes in a valid data directory's shard and
-// sessions logs: Open must never panic — it either recovers (and then the
-// recovered state is stable: an immediate reopen yields the same
-// StateHash) or refuses with an error.
+// FuzzOpenDB plants fuzz bytes as a valid data directory's log: Open must
+// never panic — it either recovers (and then the recovered state is
+// stable: an immediate reopen yields the same StateHash) or refuses with
+// an error.
 func FuzzOpenDB(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	shardRec := frame(encodePut(nil, "k", 7))
-	f.Add(shardRec, validSessionsLog())
-	mut := append([]byte(nil), shardRec...)
+	f.Add([]byte{})
+	f.Add(validLog())
+	// A put for a shard the directory does not have, then a flipped
+	// payload byte.
+	mut := append(frame(encodePut(nil, 5, "k", 7)), validLog()...)
 	mut[len(mut)-1] ^= 0x01
-	f.Add(mut, validSessionsLog()[:9])
-	f.Add(binary.BigEndian.AppendUint32(nil, 0xffffffff), frame([]byte{recHello}))
+	f.Add(mut)
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 0xffffffff), frame([]byte{recHello})...))
 
-	f.Fuzz(func(t *testing.T, shardBytes, sessionBytes []byte) {
+	f.Fuzz(func(t *testing.T, logBytes []byte) {
 		dir := t.TempDir()
 		db, err := Open(dir, 2, 2, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		db.ShardBacking(0).Persist("seed", 1)
-		if err := db.SyncShards(); err != nil {
-			t.Fatal(err)
-		}
 		if err := db.AppendHello(1, 0); err != nil {
 			t.Fatal(err)
 		}
-		db.Close()
-		if err := os.WriteFile(filepath.Join(dir, "shard-000.log"), shardBytes, 0o644); err != nil {
+		if err := db.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "sessions.log"), sessionBytes, 0o644); err != nil {
+		db.Close()
+		if err := os.WriteFile(filepath.Join(dir, walName), logBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
 

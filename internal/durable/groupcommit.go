@@ -1,8 +1,6 @@
 package durable
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -10,36 +8,39 @@ import (
 // Group commit batches concurrent CommitOutcome barriers into epochs. Each
 // commit stages its encoded outcome record into the current epoch and
 // parks on the epoch's broadcast channel; a single committer goroutine
-// anchors one epoch at a time — all shard logs synced first, then every
-// staged record appended to the sessions log in one coalesced write and
-// synced — and releases every waiter at once. N concurrent commits thus
-// cost one fsync pair instead of N, while each released verdict is exactly
-// as durable as under the per-mutation path: a reply is released only
-// after the fsync that anchors its epoch has returned.
+// anchors one epoch at a time through the one commit path (DB.anchor):
+// every staged record appended to the log in one coalesced write behind
+// the effects journaled before it, then one fsync — and releases every
+// waiter at once. N concurrent commits thus cost one fsync instead of N,
+// while each released verdict is exactly as durable as under the
+// per-mutation path, which is the same function with a one-record epoch:
+// a reply is released only after the fsync that anchors its epoch has
+// returned.
 //
 // Ordering is preserved by construction: staged records live only in the
-// epoch buffer — outside the sessions log and its in-memory mirror — until
-// after the shard barrier, so neither kernel writeback nor a concurrent
-// compaction (triggered by session churn) can make an outcome durable
-// before its effects. Read-only replies never enter the pipeline at all.
+// epoch buffer — outside the log and the in-memory state — until the
+// anchor appends them, after every effect the commit depends on, so
+// neither kernel writeback nor a concurrent compaction can make an outcome
+// durable before its effects. Read-only replies never enter the pipeline
+// at all.
 type groupCommit struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled when cur gains its first member or on stop
 	running  bool
 	interval time.Duration
 	cur      *epoch
-	freeBufs [][]byte // recycled epoch buffers
+	freeBufs [][]byte      // recycled epoch buffers
 	stopc    chan struct{} // closed by Stop: interrupts the batching window
 	stopped  chan struct{}
 	epochs   uint64 // anchored epochs
 	commits  uint64 // commits routed through epochs
 }
 
-// epoch is one commit batch: the concatenated encoded outcome records of
-// every member, the broadcast channel its waiters park on, and the anchor
-// verdict they all share.
+// epoch is one commit batch: the staged outcome records of every member,
+// the broadcast channel its waiters park on, and the anchor verdict they
+// all share.
 type epoch struct {
-	buf  []byte
+	buf  []byte // length-prefixed outcome records (stageOutcome)
 	n    int
 	done chan struct{}
 	err  error
@@ -71,7 +72,8 @@ func (db *DB) StartGroupCommit(interval time.Duration) {
 }
 
 // StopGroupCommit drains the in-flight epoch, stops the committer, and
-// reverts CommitOutcome to the synchronous per-mutation path. Safe to call
+// reverts CommitOutcome to the per-mutation setting: one-record epochs
+// anchored by the caller. Safe to call
 // when not running; Close calls it.
 func (db *DB) StopGroupCommit() {
 	gc := &db.gc
@@ -88,9 +90,9 @@ func (db *DB) StopGroupCommit() {
 	<-stopped
 }
 
-// GroupCommitStats reports how many epochs have been anchored and how many
-// commits rode them — the coalescing ratio commits/epochs is the fsyncs
-// saved.
+// GroupCommitStats reports how many epochs the committer has anchored and
+// how many commits rode them — the coalescing ratio commits/epochs is the
+// fsyncs saved.
 func (db *DB) GroupCommitStats() (epochs, commits uint64) {
 	db.gc.mu.Lock()
 	defer db.gc.mu.Unlock()
@@ -98,8 +100,8 @@ func (db *DB) GroupCommitStats() (epochs, commits uint64) {
 }
 
 // join stages one commit into the current epoch and returns it, or nil
-// when group commit is not running (the caller then commits
-// synchronously). The reply bytes are copied into the epoch buffer before
+// when group commit is not running (the caller then anchors a one-record
+// epoch itself). The reply bytes are copied into the epoch buffer before
 // returning, so the caller's buffer may be reused while it waits.
 func (gc *groupCommit) join(sid, reqID uint64, reply []byte) *epoch {
 	gc.mu.Lock()
@@ -108,7 +110,7 @@ func (gc *groupCommit) join(sid, reqID uint64, reply []byte) *epoch {
 		return nil
 	}
 	e := gc.cur
-	e.buf = appendOutcomeRec(e.buf, sid, reqID, reply)
+	e.buf = stageOutcome(e.buf, sid, reqID, reply)
 	e.n++
 	gc.commits++
 	if e.n == 1 {
@@ -152,70 +154,10 @@ func (db *DB) commitLoop(stopc, stopped chan struct{}) {
 		gc.cur = gc.newEpochLocked()
 		gc.epochs++
 		gc.mu.Unlock()
-		e.err = db.anchorEpoch(e)
+		e.err = db.anchor(e.buf)
 		close(e.done)
 		gc.recycle(e)
 	}
-}
-
-// anchorEpoch makes every commit staged in e durable, in the invariant
-// order: all shard logs first (the effects), then the outcome records in
-// one coalesced sessions-log append, then the sessions barrier. A failure
-// anywhere fails every member of the epoch.
-func (db *DB) anchorEpoch(e *epoch) error {
-	if !MutantOutcomeFirst {
-		if err := db.SyncShards(); err != nil {
-			return err
-		}
-	}
-	ss := &db.sessions
-	ss.mu.Lock()
-	for off := 0; off < len(e.buf); {
-		sid, reqID, reply, n, err := nextOutcomeRec(e.buf[off:])
-		if err != nil {
-			ss.mu.Unlock()
-			return err
-		}
-		ss.noteOutcome(sid, reqID, reply)
-		if err := ss.log.Append(e.buf[off : off+n]); err != nil {
-			ss.mu.Unlock()
-			return err
-		}
-		db.repl.tapSess(e.buf[off : off+n])
-		off += n
-	}
-	if err := db.syncOrCompactSessionsLocked(); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	// The epoch boundary is one replication barrier: every staged verdict
-	// is released only after the backup has acknowledged it, so group
-	// commit and replication share this single fsync boundary.
-	seq := db.repl.tapBarrier()
-	ss.mu.Unlock()
-	if MutantOutcomeFirst {
-		if err := db.SyncShards(); err != nil {
-			return err
-		}
-	}
-	db.repl.waitBarrier(seq)
-	return nil
-}
-
-// nextOutcomeRec decodes the first staged outcome record in b. Staged
-// records are produced by appendOutcomeRec in this process, so a decode
-// failure indicates memory corruption, not input.
-func nextOutcomeRec(b []byte) (sid, reqID uint64, reply []byte, n int, err error) {
-	if len(b) < 21 || b[0] != recOutcome {
-		return 0, 0, nil, 0, fmt.Errorf("durable: malformed staged outcome record")
-	}
-	sid = binary.BigEndian.Uint64(b[1:])
-	reqID = binary.BigEndian.Uint64(b[9:])
-	m := int(binary.BigEndian.Uint32(b[17:]))
-	if len(b) < 21+m {
-		return 0, 0, nil, 0, fmt.Errorf("durable: truncated staged outcome record")
-	}
-	return sid, reqID, b[21 : 21+m], 21 + m, nil
 }
 
 // newEpochLocked returns a fresh epoch, reusing a recycled buffer when one

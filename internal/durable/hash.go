@@ -37,8 +37,8 @@ func (db *DB) StateHash() string {
 		h.Write([]byte(s))
 	}
 
-	writeU64(uint64(len(db.shards)))
-	for i := range db.shards {
+	writeU64(uint64(db.NumShards()))
+	for i := 0; i < db.NumShards(); i++ {
 		// RangeShard iterates in sorted key order — the canonical order.
 		db.RangeShard(i, func(key string, val int64) {
 			writeStr(key)
@@ -53,11 +53,7 @@ func (db *DB) StateHash() string {
 		writeU64(s.SID)
 		writeU64(uint64(int64(s.PID)))
 		writeU64(s.MaxID)
-		reqs := make([]uint64, 0, len(s.Window))
-		for id := range s.Window {
-			reqs = append(reqs, id)
-		}
-		sortU64(reqs)
+		reqs := sortedKeys(s.Window)
 		writeU64(uint64(len(reqs)))
 		for _, id := range reqs {
 			writeU64(id)
@@ -66,13 +62,4 @@ func (db *DB) StateHash() string {
 	}
 	writeU64(db.NextSID())
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// sortU64 sorts in place (tiny insertion sort; windows are small).
-func sortU64(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -1,10 +1,10 @@
 // Package durable is the file-backed persistence substrate behind the
 // simulated NVM spaces: an on-disk data directory holding one append-only
-// CRC-framed record log (plus a periodically compacted snapshot) per shard
-// and one for the session layer, so that the paper's persist ordering maps
-// onto write+fsync ordering and the whole process — not just a simulated
-// epoch — can be killed and restarted without losing a single detectable
-// verdict.
+// CRC-framed write-ahead log (plus a periodically compacted snapshot) for
+// every shard and the session layer together, so that the paper's persist
+// ordering maps onto byte order in one file and the whole process — not
+// just a simulated epoch — can be killed and restarted without losing a
+// single detectable verdict.
 //
 // The layering is deliberate: internal/nvm defines the pluggable Backing
 // seam a Space forwards its logical persists through, this package supplies
@@ -56,9 +56,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // memory — they do not reach the kernel until the next Sync — so a batch
 // of records costs one write plus one fsync, and a record can never become
 // durable (or even reach the page cache) before the barrier that is
-// supposed to order it. All methods are safe for concurrent use; the mutex
-// is held across fsync, so an Append that completed before a Sync call
-// began is durable when that Sync returns.
+// supposed to order it. All methods are safe for concurrent use.
+//
+// Two mutexes split the work: mu guards the staged buffer and the poison,
+// and is all Append takes; syncMu serializes the file itself (write,
+// fsync, truncate). Sync swaps the staged buffer out under mu and then
+// writes and fsyncs under syncMu alone, so an Append never waits out an
+// fsync. An Append that returned before Sync was called is durable when
+// that Sync returns; one that lands during the fsync waits for the next.
 //
 // A failed barrier poisons the log: after a write or fsync error every
 // subsequent Append and Sync fails with the original error. Retrying an
@@ -66,13 +71,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // dirty pages while reporting the error, so a later "successful" fsync
 // would claim durability for data that never reached the disk.
 type Log struct {
-	mu    sync.Mutex
-	f     File
-	path  string
-	size  int64  // bytes of valid, framed records in the file
-	buf   []byte // framed records staged since the last flush
-	dirty bool   // flushed to the file since the last fsync
-	err   error  // sticky poison from a failed write or fsync
+	syncMu sync.Mutex // held across write+fsync and truncate; taken before mu
+	dirty  bool       // written to the file since the last fsync; guarded by syncMu
+	spare  []byte     // the buffer the last Sync wrote, reused; guarded by syncMu
+
+	mu   sync.Mutex
+	f    File
+	path string
+	size int64  // bytes handed to the file (written or being written)
+	buf  []byte // framed records staged since the last Sync
+	err  error  // sticky poison from a failed write, fsync or compaction
 	// syncFn is the fsync implementation, replaceable by fault-injection
 	// tests; nil means File.Sync.
 	syncFn func(File) error
@@ -216,39 +224,29 @@ func appendFrame(dst, payload []byte) []byte {
 
 // Sync is the durability barrier: every Append that returned before Sync
 // was called is physically durable when it returns. Staged records are
-// flushed in one coalesced write, then fsynced. A clean log (no appends
-// since the last barrier) syncs nothing. A failed barrier poisons the log
-// permanently — see the Log doc comment.
+// flushed in one coalesced write, then fsynced; Appends made meanwhile
+// stage for the next barrier. A clean log (no appends since the last
+// barrier) syncs nothing. A failed barrier poisons the log permanently —
+// see the Log doc comment.
 func (l *Log) Sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-// flushLocked writes the staged records to the file in one vectored
-// append. Called with l.mu held.
-func (l *Log) flushLocked() error {
 	if l.err != nil {
+		l.mu.Unlock()
 		return l.err
 	}
-	if len(l.buf) == 0 {
-		return nil
-	}
-	if _, err := l.f.WriteAt(l.buf, l.size); err != nil {
-		// The file offset the staged records were meant for may now hold a
-		// partial write; nothing after this point can be trusted durable.
-		l.poison(err)
-		return l.err
-	}
-	l.size += int64(len(l.buf))
-	l.buf = l.buf[:0]
-	l.dirty = true
-	return nil
-}
-
-func (l *Log) syncLocked() error {
-	if err := l.flushLocked(); err != nil {
-		return err
+	buf, off := l.buf, l.size
+	l.buf, l.spare = l.spare[:0], buf
+	l.size += int64(len(buf))
+	l.mu.Unlock()
+	if len(buf) > 0 {
+		if _, err := l.f.WriteAt(buf, off); err != nil {
+			// The file offset the staged records were meant for may now hold
+			// a partial write; nothing after this point can be trusted durable.
+			return l.fail(err)
+		}
+		l.dirty = true
 	}
 	if !l.dirty {
 		return nil
@@ -257,19 +255,28 @@ func (l *Log) syncLocked() error {
 		// fsyncgate semantics: the kernel may drop dirty pages on a failed
 		// fsync, so retrying could report durability for data that is gone.
 		// Poison instead of retrying.
-		l.poison(err)
-		return l.err
+		return l.fail(err)
 	}
 	l.dirty = false
 	return nil
 }
 
-// poison records the first write/fsync failure; every later Append, Sync,
-// and Reset returns it. Called with l.mu held.
-func (l *Log) poison(cause error) {
+// fail poisons the log with its first failure and returns the poison;
+// every later Append, Sync and Reset returns it too.
+func (l *Log) fail(cause error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err == nil {
 		l.err = fmt.Errorf("durable: log %s poisoned by failed barrier: %w", filepath.Base(l.path), cause)
 	}
+	return l.err
+}
+
+// poisoned returns the poison, or nil for a healthy log.
+func (l *Log) poisoned() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
 }
 
 // fsync calls the possibly-injected sync implementation.
@@ -292,21 +299,21 @@ func (l *Log) Size() int64 {
 // snapshot is durably in place (a crash between the snapshot rename and
 // this truncate merely replays records the snapshot already contains).
 func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if err := l.poisoned(); err != nil {
+		return err
 	}
 	if err := l.f.Truncate(0); err != nil {
-		l.poison(err)
-		return l.err
+		return l.fail(err)
 	}
+	l.mu.Lock()
 	l.size = 0
 	l.buf = l.buf[:0]
+	l.mu.Unlock()
 	l.dirty = false
 	if err := l.fsync(); err != nil {
-		l.poison(err)
-		return l.err
+		return l.fail(err)
 	}
 	return nil
 }
@@ -314,13 +321,11 @@ func (l *Log) Reset() error {
 // Close syncs and closes the file. A poisoned log still closes its file
 // but reports the poison error.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.syncLocked(); err != nil {
-		l.f.Close()
-		return err
+	err := l.Sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return l.f.Close()
+	return err
 }
 
 // WriteSnapshot atomically replaces the snapshot at path on the real

@@ -2,22 +2,24 @@ package durable
 
 // Primary/backup replication over the durable layer (docs/REPLICATION.md).
 //
-// The primary taps every record it makes durable — shard puts as they are
-// journaled, session records as they are appended — into per-subscriber
-// buffers, and marks each fsync boundary with a barrier message carrying a
-// monotone sequence number. A synchronous subscriber gates verdict release:
-// the commit paths (AppendHello, NoteSID, AppendEnd, CommitOutcome, and the
-// group-commit epoch anchor) wait for the backup to acknowledge the barrier
-// before returning, so group commit and replication share one fsync
+// The primary taps every record it appends to its log — shard puts as they
+// are journaled, session and outcome records as a commit appends them —
+// into per-subscriber buffers, in log order, and marks each fsync boundary
+// with a barrier message carrying a monotone sequence number. A
+// synchronous subscriber gates verdict release: the commit paths
+// (AppendHello, NoteSID, AppendEnd, CommitOutcome, and the group-commit
+// epoch anchor) wait for the backup to acknowledge the barrier before
+// returning, so group commit and replication share one fsync
 // boundary — an epoch's verdicts are released only after that epoch is
 // durable on both nodes. A subscriber that stalls past the ack timeout is
 // dropped and its waiters released (replication degrades; durability on the
 // primary is never weakened).
 //
-// A new subscriber first receives a fuzzy snapshot — every shard mirror in
-// sorted key order, then the sessions mirror — bracketed by SnapBegin /
-// SnapEnd, then the live tap. Puts are last-wins and session records
-// idempotent, so applying the snapshot over any backup prefix converges;
+// A new subscriber first receives a fuzzy snapshot — the records a
+// compaction snapshot would hold: every shard's puts in sorted key order,
+// then the sessions — bracketed by SnapBegin / SnapEnd, then the live
+// tap. Puts are last-wins and session records idempotent, so applying the
+// snapshot over any backup prefix converges;
 // SnapEnd doubles as the reconciliation point for sessions the backup saw
 // end while it was disconnected (snapshots can only assert liveness, never
 // deletion). Snapshot bytes are exempt from the subscriber's backlog
@@ -26,23 +28,19 @@ package durable
 // acked — until then the bootstrapping replica neither delays verdicts
 // nor counts as a laggard.
 //
-// The apply side (Replica) keeps the backup's own disk crash-consistent:
-// shard puts are journaled eagerly (early effects are harmless — the
-// primary's own commit protocol already tolerates effects without
-// outcomes), but session records are staged in memory until a barrier
-// arrives, then appended and fsynced in the invariant order (shard barrier
-// first, then sessions). A crash-prefix image of the backup's data
-// directory therefore satisfies the same outcome-implies-effect invariant
-// as the primary's, which internal/simio checks byte-for-byte.
+// The apply side (Replica) keeps the backup's own disk crash-consistent by
+// appending every record to its own log in stream order — which is the
+// primary's log order, effects before the outcomes that depend on them —
+// and anchoring each barrier with one Sync. A crash-prefix image of the
+// backup's data directory therefore satisfies the same
+// outcome-implies-effect invariant as the primary's, which internal/simio
+// checks byte-for-byte.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,12 +53,10 @@ const (
 	// u32 procs, u32 window. The backup verifies geometry and fencing
 	// before applying anything.
 	ReplSnapBegin byte = 0x01
-	// ReplShardRec is one shard record: u32 shard index, then a raw
-	// recPut record exactly as it sits in the shard log.
-	ReplShardRec byte = 0x02
-	// ReplSessRec is one raw sessions-log record (recHello, recOutcome,
-	// recEnd, or recNextSID).
-	ReplSessRec byte = 0x03
+	// ReplRec is one raw log record exactly as it sits in the primary's
+	// log (a shard-tagged put, or a hello, outcome, end or next-sid
+	// record). Kind 0x03 is retired and refused.
+	ReplRec byte = 0x02
 	// ReplSnapEnd closes a snapshot: u64 barrier sequence. It is itself a
 	// barrier, and the point where the backup ends live sessions absent
 	// from the snapshot.
@@ -95,7 +91,7 @@ var errReplSubClosed = errors.New("durable: replication subscription closed")
 type replState struct {
 	nsubs      atomic.Int32  // registered subscribers (fast-path gate for taps)
 	nsync      atomic.Int32  // gating subscribers: sync subs whose snapshot barrier is acked
-	seq        atomic.Uint64 // barrier sequence; bumped only under sessions.mu
+	seq        atomic.Uint64 // barrier sequence; bumped only under DB.mu
 	ackTimeout atomic.Int64  // nanoseconds; 0 = DefaultReplAckTimeout
 
 	mu   sync.Mutex
@@ -152,72 +148,32 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	var hdr [21]byte
 	hdr[0] = ReplSnapBegin
 	binary.BigEndian.PutUint64(hdr[1:], db.gen.Load())
-	binary.BigEndian.PutUint32(hdr[9:], uint32(len(db.shards)))
+	binary.BigEndian.PutUint32(hdr[9:], uint32(db.NumShards()))
 	binary.BigEndian.PutUint32(hdr[13:], uint32(db.procs))
-	binary.BigEndian.PutUint32(hdr[17:], uint32(db.sessions.window))
+	binary.BigEndian.PutUint32(hdr[17:], uint32(db.st.window))
 	sub.stageSnap(hdr[:], nil)
 	r.mu.Unlock()
 
-	// Fuzzy snapshot: shard mirrors first, sessions after, matching the
-	// outcome-implies-effect order. Concurrent commits tap records that
-	// interleave with the snapshot; both sides are last-wins/idempotent,
-	// so the interleaving converges to the primary's state.
-	var enc []byte
-	for i, sf := range db.shards {
-		var shdr [5]byte
-		shdr[0] = ReplShardRec
-		binary.BigEndian.PutUint32(shdr[1:], uint32(i))
-		sf.mu.Lock()
-		keys := make([]string, 0, len(sf.state))
-		for k := range sf.state {
-			keys = append(keys, k)
+	// Fuzzy snapshot: the state's records under db.mu. Records tapped
+	// before it interleave ahead of the snapshot; puts are last-wins and
+	// session records idempotent, so the interleaving converges to the
+	// primary's state. Holding db.mu through SnapEnd keeps every live
+	// session record out of the gap between the snapshot and its close,
+	// where SnapEnd's reconciliation would misread it.
+	kind := []byte{ReplRec}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	err := db.st.emit(func(rec []byte) error {
+		if !sub.stageSnap(kind, rec) {
+			return errReplSubClosed
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			enc = encodePut(enc[:0], k, sf.state[k])
-			if !sub.stageSnap(shdr[:], enc) {
-				sf.mu.Unlock()
-				return sub // closed mid-snapshot; stop staging
-			}
-		}
-		sf.mu.Unlock()
-	}
-	ss := &db.sessions
-	kindSess := [1]byte{ReplSessRec}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	enc = append(enc[:0], recNextSID)
-	enc = binary.BigEndian.AppendUint64(enc, ss.nextSID)
-	if !sub.stageSnap(kindSess[:], enc) {
-		return sub
-	}
-	sids := make([]uint64, 0, len(ss.state))
-	for sid := range ss.state {
-		sids = append(sids, sid)
-	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-	for _, sid := range sids {
-		s := ss.state[sid]
-		enc = append(enc[:0], recHello)
-		enc = binary.BigEndian.AppendUint64(enc, s.SID)
-		enc = binary.BigEndian.AppendUint64(enc, uint64(int64(s.PID)))
-		if !sub.stageSnap(kindSess[:], enc) {
-			return sub
-		}
-		reqs := make([]uint64, 0, len(s.Window))
-		for id := range s.Window {
-			reqs = append(reqs, id)
-		}
-		sort.Slice(reqs, func(i, j int) bool { return reqs[i] < reqs[j] })
-		for _, id := range reqs {
-			enc = appendOutcomeRec(enc[:0], s.SID, id, s.Window[id])
-			if !sub.stageSnap(kindSess[:], enc) {
-				return sub
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return sub // closed mid-snapshot; stop staging
 	}
 	// The snapshot close is a barrier in its own right; its sequence is
-	// allocated under ss.mu like every other barrier, so barrier order on
+	// allocated under db.mu like every other barrier, so barrier order on
 	// the stream matches sequence order. Its sequence is also the sub's
 	// gating threshold: acking it is what turns a syncAck subscription
 	// into a commit gate (Ack).
@@ -264,31 +220,19 @@ func (db *DB) ReplStatus() (seq, acked uint64, subs int) {
 
 // ---- primary-side tap ----
 
-// tapShard stages one shard put record to every subscriber. Called with
-// the shard's mu held, immediately after the log append succeeds.
-func (r *replState) tapShard(shard int, rec []byte) {
+// tapRec stages one log record to every subscriber. Called with db.mu
+// held, immediately after the log append succeeds.
+func (r *replState) tapRec(rec []byte) {
 	if r.nsubs.Load() == 0 {
 		return
 	}
-	var hdr [5]byte
-	hdr[0] = ReplShardRec
-	binary.BigEndian.PutUint32(hdr[1:], uint32(shard))
-	r.tapMsg(hdr[:], rec)
-}
-
-// tapSess stages one sessions-log record to every subscriber. Called with
-// sessions.mu held, immediately after the log append succeeds.
-func (r *replState) tapSess(rec []byte) {
-	if r.nsubs.Load() == 0 {
-		return
-	}
-	r.tapMsg([]byte{ReplSessRec}, rec)
+	r.tapMsg([]byte{ReplRec}, rec)
 }
 
 // tapBarrier allocates the next barrier sequence and stages the barrier
-// message. Called with sessions.mu held after a successful sessions
-// barrier — every barrier sequence is allocated under that lock, so the
-// stream order of barriers matches sequence order.
+// message. Called with db.mu held after a successful log barrier — every
+// barrier sequence is allocated under that lock, so the stream order of
+// barriers matches sequence order.
 func (r *replState) tapBarrier() uint64 {
 	seq := r.seq.Add(1)
 	if r.nsubs.Load() != 0 {
@@ -338,8 +282,8 @@ func (r *replState) unregister(sub *ReplSub) {
 // snapshot is not waited on: its first ack may legitimately take longer
 // than the ack timeout, and dropping it for that would re-bootstrap large
 // replicas forever. Called with no DB locks held — commit paths release
-// sessions.mu first, so the backup's ack path can never deadlock against
-// the primary's commit path.
+// db.mu first, so the backup's ack path can never deadlock against the
+// primary's commit path.
 func (r *replState) waitBarrier(seq uint64) {
 	if r.nsync.Load() == 0 {
 		return
@@ -582,9 +526,7 @@ func (db *DB) SetGeneration(gen uint64) error {
 	if gen < cur {
 		return fmt.Errorf("durable: generation may only advance (have %d, asked for %d)", cur, gen)
 	}
-	m := manifest{Version: 1, Shards: len(db.shards), Procs: db.procs, Generation: gen}
-	data, _ := json.Marshal(m)
-	if err := AtomicWriteFileFs(db.fs, filepath.Join(db.dir, "MANIFEST"), append(data, '\n')); err != nil {
+	if err := writeManifest(db.fs, db.dir, db.NumShards(), db.procs, gen); err != nil {
 		return err
 	}
 	db.gen.Store(gen)
@@ -593,16 +535,15 @@ func (db *DB) SetGeneration(gen uint64) error {
 
 // ---- replica (apply side) ----
 
-// Replica applies a replication stream to a warm-standby DB. Shard records
-// are journaled to the backup's own logs as they arrive; session records
-// are staged in memory and appended+fsynced only when a barrier arrives —
-// and, during a snapshot, only at SnapEnd, so an outcome can never be
-// anchored (or acked) before the snapshot hello that makes it
-// recoverable — preserving outcome-implies-effect on the backup's disk.
+// Replica applies a replication stream to a warm-standby DB. Every record
+// is folded into the backup's state and appended to its log as it
+// arrives, in stream order; each barrier is anchored with one Sync and
+// only then acknowledged. A barrier that arrives during a snapshot is
+// deferred to SnapEnd, so an outcome can never be anchored (or acked)
+// before the snapshot hello that makes it recoverable.
 // Not safe for concurrent use; feed it one stream.
 type Replica struct {
 	db        *DB
-	staged    []byte    // u32-length-prefixed session records awaiting a barrier
 	viewStage []viewPut // shard puts awaiting barrier publication to the read view
 	inSnap    bool
 	snapSids  map[uint64]struct{} // sessions asserted live by the snapshot in progress
@@ -629,9 +570,9 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		shards := int(binary.BigEndian.Uint32(body[8:]))
 		procs := int(binary.BigEndian.Uint32(body[12:]))
 		window := int(binary.BigEndian.Uint32(body[16:]))
-		if shards != len(rp.db.shards) || procs != rp.db.procs || window != rp.db.sessions.window {
+		if shards != rp.db.NumShards() || procs != rp.db.procs || window != rp.db.st.window {
 			return 0, false, fmt.Errorf("durable: replication geometry mismatch: primary shards=%d procs=%d window=%d, replica shards=%d procs=%d window=%d",
-				shards, procs, window, len(rp.db.shards), rp.db.procs, rp.db.sessions.window)
+				shards, procs, window, rp.db.NumShards(), rp.db.procs, rp.db.st.window)
 		}
 		if cur := rp.db.Generation(); gen < cur {
 			return 0, false, fmt.Errorf("%w: primary gen %d < replica gen %d", ErrStalePrimary, gen, cur)
@@ -642,7 +583,6 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		}
 		rp.inSnap = true
 		rp.snapSids = make(map[uint64]struct{})
-		rp.staged = rp.staged[:0] // a torn previous stream's stage never applies
 		rp.viewStage = rp.viewStage[:0]
 		// The incoming snapshot supersedes the read view; until SnapEnd
 		// publishes it, the applied mark is 0 and staleness-bounded readers
@@ -650,38 +590,24 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		rp.db.resetView()
 		return 0, false, nil
 
-	case ReplShardRec:
-		if len(body) < 4 {
-			return 0, false, fmt.Errorf("durable: malformed shard record message")
+	case ReplRec:
+		// applyRec validates before anything changes: a malformed record
+		// never reaches the backup's log, where it would poison every
+		// future recovery.
+		if err := rp.db.applyRec(body); err != nil {
+			return 0, false, fmt.Errorf("durable: replicated record: %w", err)
 		}
-		shard := int(binary.BigEndian.Uint32(body))
-		rec := body[4:]
-		if shard < 0 || shard >= len(rp.db.shards) {
-			return 0, false, fmt.Errorf("durable: shard record for shard %d of %d", shard, len(rp.db.shards))
+		switch body[0] {
+		case recPut:
+			// Stage for the read view; published only when the covering
+			// barrier is durable here.
+			shard, key, val, _ := decodePut(body)
+			rp.viewStage = append(rp.viewStage, viewPut{shard: shard, key: string(key), val: val})
+		case recHello:
+			if rp.inSnap {
+				rp.snapSids[binary.BigEndian.Uint64(body[1:])] = struct{}{}
+			}
 		}
-		if len(rec) < 1 || rec[0] != recPut {
-			return 0, false, fmt.Errorf("durable: unexpected shard record kind")
-		}
-		key, val, ok := decodePut(rec)
-		if !ok {
-			return 0, false, fmt.Errorf("durable: malformed replicated put record")
-		}
-		rp.db.journalPut(shard, key, val)
-		// Stage for the read view; published only when the covering barrier
-		// is durable here (decodePut copied the key, so it is owned).
-		rp.viewStage = append(rp.viewStage, viewPut{shard: shard, key: key, val: val})
-		return 0, false, nil
-
-	case ReplSessRec:
-		kind, sid, err := checkSessRec(body)
-		if err != nil {
-			return 0, false, err
-		}
-		if rp.inSnap && kind == recHello {
-			rp.snapSids[sid] = struct{}{}
-		}
-		rp.staged = binary.BigEndian.AppendUint32(rp.staged, uint32(len(body)))
-		rp.staged = append(rp.staged, body...)
 		return 0, false, nil
 
 	case ReplSnapEnd:
@@ -694,19 +620,16 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// Reconcile deletions: a session live on the backup but absent
 		// from the snapshot ended while the backup was disconnected.
 		// Snapshots can only assert liveness, so the end is synthesized
-		// here.
+		// here and anchored with the snapshot.
+		var ends []byte
 		for _, sid := range rp.db.liveSIDs() {
 			if _, ok := rp.snapSids[sid]; !ok {
-				var end [9]byte
-				end[0] = recEnd
-				binary.BigEndian.PutUint64(end[1:], sid)
-				rp.staged = binary.BigEndian.AppendUint32(rp.staged, uint32(len(end)))
-				rp.staged = append(rp.staged, end[:]...)
+				ends = stageU64Rec(ends, recEnd, sid)
 			}
 		}
 		rp.inSnap = false
 		rp.snapSids = nil
-		fallthrough
+		return rp.barrier(body, ends)
 
 	case ReplBarrier:
 		if len(body) != 8 {
@@ -714,114 +637,50 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		}
 		if rp.inSnap {
 			// A barrier that interleaves with the snapshot must not anchor
-			// (or ack) yet: the records staged so far may reference sids
-			// whose snapshot hellos are still in flight, so appending them
-			// now would write outcomes the recovery path silently drops —
-			// a crash-then-promote would lose a verdict the primary
-			// released as durable on both nodes. Everything stays staged
-			// and is applied (and first acked) at SnapEnd, when the
-			// snapshot's hellos are guaranteed to be in the stage too.
+			// (or ack) yet: the records so far may include outcomes whose
+			// snapshot hellos are still in flight, which recovery silently
+			// drops — a crash-then-promote would lose a verdict the primary
+			// released as durable on both nodes. The ack waits for SnapEnd,
+			// when the snapshot's hellos have arrived too.
 			return 0, false, nil
 		}
-		if err := rp.db.applyReplBarrier(rp.staged); err != nil {
-			return 0, false, err
-		}
-		rp.staged = rp.staged[:0]
-		seq = binary.BigEndian.Uint64(body)
-		// The barrier is durable on this node: publish its shard puts to the
-		// read view atomically, so a replica GET sees either all of a commit
-		// epoch's effects or none of them.
-		rp.db.publishView(rp.viewStage, seq)
-		rp.viewStage = rp.viewStage[:0]
-		return seq, true, nil
+		return rp.barrier(body, nil)
 
 	default:
 		return 0, false, fmt.Errorf("durable: unexpected replication message kind 0x%02x", msg[0])
 	}
 }
 
-// checkSessRec validates the shape of one sessions-log record before it is
-// staged — a malformed record must never reach the backup's log, where it
-// would poison every future recovery.
-func checkSessRec(rec []byte) (kind byte, sid uint64, err error) {
-	if len(rec) < 1 {
-		return 0, 0, fmt.Errorf("durable: empty replicated session record")
+// barrier anchors everything applied so far, plus the staged records in
+// ends, with the backup's one commit path, then publishes the barrier's
+// shard puts to the read view atomically — a replica GET sees either all
+// of a commit epoch's effects or none of them.
+func (rp *Replica) barrier(body, ends []byte) (uint64, bool, error) {
+	if err := rp.db.anchor(ends); err != nil {
+		return 0, false, err
 	}
-	switch rec[0] {
-	case recHello:
-		if len(rec) != 17 {
-			return 0, 0, fmt.Errorf("durable: malformed replicated hello record")
-		}
-	case recOutcome:
-		if len(rec) < 21 || len(rec) != 21+int(binary.BigEndian.Uint32(rec[17:])) {
-			return 0, 0, fmt.Errorf("durable: malformed replicated outcome record")
-		}
-	case recEnd, recNextSID:
-		if len(rec) != 9 {
-			return 0, 0, fmt.Errorf("durable: malformed replicated session record")
-		}
-	default:
-		return 0, 0, fmt.Errorf("durable: unexpected replicated session record kind 0x%02x", rec[0])
-	}
-	return rec[0], binary.BigEndian.Uint64(rec[1:]), nil
+	seq := binary.BigEndian.Uint64(body)
+	rp.db.publishView(rp.viewStage, seq)
+	rp.viewStage = rp.viewStage[:0]
+	return seq, true, nil
 }
 
-// liveSIDs returns the sids currently live in the sessions mirror.
+// applyRec folds one replicated record into the state and appends it to
+// the log, refusing a malformed one before anything changes. The backup is
+// itself a tappable primary: its own subscribers (a chained replica) see
+// the same records and, through anchor, the same barriers.
+func (db *DB) applyRec(rec []byte) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.st.apply(rec); err != nil {
+		return err
+	}
+	return db.appendLocked(rec)
+}
+
+// liveSIDs returns the sids currently live in the state, sorted.
 func (db *DB) liveSIDs() []uint64 {
-	ss := &db.sessions
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	sids := make([]uint64, 0, len(ss.state))
-	for sid := range ss.state {
-		sids = append(sids, sid)
-	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-	return sids
-}
-
-// applyReplBarrier anchors one replicated barrier on the backup's disk:
-// shard logs synced first, then every staged session record appended to
-// the sessions log and folded into the mirror, then the sessions barrier —
-// the same order the primary's commit paths use, so the backup's crash
-// images satisfy the same invariants. staged is a concatenation of
-// u32-length-prefixed session records already validated by checkSessRec.
-func (db *DB) applyReplBarrier(staged []byte) error {
-	if err := db.SyncShards(); err != nil {
-		return err
-	}
-	ss := &db.sessions
-	ss.mu.Lock()
-	for off := 0; off < len(staged); {
-		if off+4 > len(staged) {
-			ss.mu.Unlock()
-			return fmt.Errorf("durable: truncated staged session record")
-		}
-		n := int(binary.BigEndian.Uint32(staged[off:]))
-		off += 4
-		if off+n > len(staged) {
-			ss.mu.Unlock()
-			return fmt.Errorf("durable: truncated staged session record")
-		}
-		rec := staged[off : off+n]
-		off += n
-		if err := ss.log.Append(rec); err != nil {
-			ss.mu.Unlock()
-			return err
-		}
-		if err := ss.apply(rec); err != nil {
-			ss.mu.Unlock()
-			return err
-		}
-		db.repl.tapSess(rec)
-	}
-	if err := db.syncOrCompactSessionsLocked(); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	// The backup is itself a tappable primary: its own subscribers (a
-	// chained replica) see the same records and barriers.
-	seq := db.repl.tapBarrier()
-	ss.mu.Unlock()
-	db.repl.waitBarrier(seq)
-	return nil
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return sortedKeys(db.st.sessions)
 }

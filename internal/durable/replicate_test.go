@@ -376,7 +376,7 @@ func TestSnapshotLargerThanSubLimit(t *testing.T) {
 	}
 }
 
-// Sessions-log record kinds as they ride inside ReplSessRec messages —
+// Log record kinds as they ride inside ReplRec messages —
 // a stable on-disk format (docs/DURABILITY.md), mirrored here to craft
 // streams whose interleaving a live primary cannot be forced to produce.
 const (
@@ -407,12 +407,12 @@ func TestInSnapshotBarrierDeferred(t *testing.T) {
 		return msg
 	}
 	hello := func(sid uint64, pid int64) []byte {
-		msg := []byte{durable.ReplSessRec, sessRecHello}
+		msg := []byte{durable.ReplRec, sessRecHello}
 		msg = binary.BigEndian.AppendUint64(msg, sid)
 		return binary.BigEndian.AppendUint64(msg, uint64(pid))
 	}
 	outcome := func(sid, req uint64, reply string) []byte {
-		msg := []byte{durable.ReplSessRec, sessRecOutcome}
+		msg := []byte{durable.ReplRec, sessRecOutcome}
 		msg = binary.BigEndian.AppendUint64(msg, sid)
 		msg = binary.BigEndian.AppendUint64(msg, req)
 		msg = binary.BigEndian.AppendUint32(msg, uint32(len(reply)))

@@ -4,14 +4,13 @@ package durable
 // replicas).
 //
 // A standby serving GET traffic must never expose a half-applied state:
-// the shard mirrors advance record-by-record as the stream arrives (eager
-// journaling keeps the backup's disk crash-consistent), so reading them
+// the shard mirrors advance record-by-record as the stream arrives (every
+// record is applied and journaled on arrival), so reading them
 // directly could observe the middle of a snapshot transfer or a partial
-// commit epoch. The view solves this with the same staging discipline the
-// session records already use — shard puts accumulate in a per-stream
-// stage and are published to the read view only when the barrier that
-// covers them is durable on this node (applyReplBarrier succeeded), or at
-// SnapEnd for an entire bootstrap snapshot. Between barriers the view is
+// commit epoch. The view solves this with a staging discipline — shard
+// puts accumulate in a per-stream stage and are published to the read
+// view only when the barrier that covers them is durable on this node
+// (its anchor succeeded), or at SnapEnd for an entire bootstrap snapshot. Between barriers the view is
 // immutable, so every read observes a prefix of the primary's commit
 // order: bounded-stale, never torn, never a value the primary failed to
 // commit.
@@ -27,7 +26,7 @@ import (
 )
 
 // viewPut is one staged shard put awaiting barrier publication. The key is
-// already owned (decodePut copies it out of the stream frame).
+// owned: the apply path copies it out of the stream frame.
 type viewPut struct {
 	shard int
 	key   string
@@ -52,7 +51,7 @@ func (db *DB) publishView(stage []viewPut, seq uint64) {
 	v := &db.view
 	v.mu.Lock()
 	if v.shards == nil {
-		v.shards = make([]map[string]int64, len(db.shards))
+		v.shards = make([]map[string]int64, db.NumShards())
 		for i := range v.shards {
 			v.shards[i] = make(map[string]int64)
 		}
@@ -103,9 +102,10 @@ func (db *DB) ViewSeq() uint64 { return db.view.seq.Load() }
 // counterpart of ViewGet, used to serve read-only sessions on a durable
 // primary where the mirror IS the committed state.
 func (db *DB) MirrorGet(i int, key string) (int64, bool) {
-	sf := db.shards[i]
-	sf.mu.Lock()
-	val, ok := sf.state[key]
-	sf.mu.Unlock()
-	return val, ok
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if p, ok := db.st.shards[i][key]; ok {
+		return *p, true
+	}
+	return 0, false
 }

@@ -204,7 +204,7 @@ func TestLostReplyFreshExecutionAfterRestart(t *testing.T) {
 
 // TestGroupCommitReleasedVerdictsSurviveRestart is the epoch-release half
 // of the durability contract under group commit: replies are parked until
-// their epoch's fsync pair lands, so every verdict a client has actually
+// their epoch's fsync lands, so every verdict a client has actually
 // seen is anchored — a restart replays each one byte-identically from the
 // recovered window (no re-execution), regardless of where in an epoch the
 // kill landed. Two sessions run concurrently so epochs genuinely coalesce

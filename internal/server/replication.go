@@ -43,7 +43,7 @@ const (
 
 // standbySIDBase offsets observer session IDs issued while in standby so
 // they can never collide with the data-session IDs recovered from the
-// replicated sessions log at promotion.
+// replicated log at promotion.
 const standbySIDBase = uint64(1) << 63
 
 // replicaDialTimeout bounds the standby's dial + handshake with the
@@ -156,6 +156,11 @@ func (srv *Server) Promote() (uint64, error) {
 func (srv *Server) promoteStandby(st *standbyState) (uint64, error) {
 	st.stopReplication()
 	db := st.db
+	// Anchor whatever the stream applied past its last barrier: the live
+	// state then equals what a restart would recover from disk.
+	if err := db.Sync(); err != nil {
+		return 0, fmt.Errorf("server: anchoring the replicated log: %w", err)
+	}
 	gen := db.Generation() + 1
 	if err := db.SetGeneration(gen); err != nil {
 		return 0, fmt.Errorf("server: fencing generation: %w", err)

@@ -18,7 +18,7 @@ import (
 	"detectable/internal/durable"
 )
 
-// Sessions-log record kinds as they appear inside ReplSessRec messages.
+// Log record kinds as they appear inside ReplRec messages.
 // Mirrored here because the on-disk kinds are internal to durable; they
 // are a stable format (docs/DURABILITY.md).
 const (
@@ -95,7 +95,7 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 	var rel, pending []released
 	endPending := map[uint64]bool{}
 	for _, m := range msgs {
-		if m[0] == durable.ReplSessRec && len(m) > 1 {
+		if m[0] == durable.ReplRec && len(m) > 1 {
 			rec := m[1:]
 			switch rec[0] {
 			case sessRecOutcome:

@@ -1,6 +1,7 @@
 package detectable_test
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -117,5 +118,36 @@ func TestFailoverStormSmoke(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "zero violations") {
 		t.Fatalf("failover-storm did not report zero violations:\n%s", out)
+	}
+}
+
+// TestKvserverdRefusesV1DataDir points kvserverd -data at a directory in
+// the previous on-disk layout (MANIFEST version 1, one log per shard): the
+// daemon must exit non-zero with an error naming both format versions
+// instead of serving an empty store over the old data.
+func TestKvserverdRefusesV1DataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke tests spawn the go tool; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	for name, data := range map[string]string{
+		"MANIFEST":      `{"version":1,"shards":2,"procs":2}` + "\n",
+		"shard-000.log": "",
+		"shard-001.log": "",
+		"sessions.log":  "",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := exec.Command("go", "run", "./cmd/kvserverd", "-addr", "127.0.0.1:0",
+		"-shards", "2", "-procs", "2", "-data", dir, "-dur", "100ms").CombinedOutput()
+	if err == nil {
+		t.Fatalf("kvserverd served a version-1 data directory:\n%s", out)
+	}
+	for _, want := range []string{"version 1", "version 2"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("kvserverd output does not name %q:\n%s", want, out)
+		}
 	}
 }
